@@ -20,8 +20,9 @@ vet:
 ## incremental-engine packages. Includes the ddb equivalence property
 ## test (parallel extract/STA at GOMAXPROCS 4) and the flows
 ## worker-equivalence tests — default and -analytic-place — which
-## audit the parallel router and placers for data races while
-## asserting identical PPA against the -j 1 serial reference; under
+## audit routing's parallel net prep and overflow scan and the placers
+## for data races while asserting identical PPA against the -j 1
+## reference; under
 ## -race both run reduced configs — see the race_on_test.go files.
 ## internal/place rides along for the analytic placer's own
 ## determinism and quality tests.
@@ -72,7 +73,7 @@ trace-smoke:
 ## benchmark run (N=1, count 1) piped through benchjson, asserting the
 ## speedup pairs, their noise verdicts, stddev/CV, the analytic
 ## placer's HPWL quality row and the pinned environment all land in
-## the JSON.
+## the JSON, and that the analytic HPWL ratio is ≤ 1.0.
 bench-route-smoke:
 	GO="$(GO)" sh scripts/bench_route_smoke.sh
 
@@ -96,8 +97,7 @@ bench:
 
 ## bench-route: the parallel-engine comparison — the large-cache tile
 ## and the flat BENCH_SIZE×BENCH_SIZE tile array, serial (-j 1) vs the
-## default parallel engines vs -fast-route (sharded router, banded
-## legalizer) vs -analytic-place (electrostatics placer) at BENCH_J
+## default engines vs -analytic-place (electrostatics placer) at BENCH_J
 ## pinned workers — recorded as machine-readable BENCH_route.json with
 ## stddev/CV, a noise verdict per speedup pair, and the analytic
 ## placer's HPWL-over-default quality ratio. Knobs: BENCH_COUNT

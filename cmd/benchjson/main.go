@@ -77,7 +77,7 @@ type summary struct {
 	// benchmarks report (per-phase worker occupancy, serial fraction,
 	// Amdahl ceiling at the pinned worker count, critical-path speedup)
 	// to the top level, keyed "<metric>/<variant>", e.g.
-	// "route_occupancy/parallel" or "route_cp_speedup/flat_sharded".
+	// "route_occupancy/parallel" or "route_cp_speedup/flat_parallel".
 	Parallelism map[string]float64 `json:"parallelism,omitempty"`
 }
 
@@ -206,17 +206,14 @@ func main() {
 	// Parallel-engine ratios (`make bench-route`): serial reference
 	// over the parallel engine at the pinned worker count. The default
 	// engines produce bit-identical results, so >1 is pure scheduling
-	// win; the flat sharded/fast ratios additionally buy concurrency
-	// with the -fast-route engines (deterministic, not bit-identical).
+	// win; the analytic ratio compares a different placement engine.
 	// Every ratio carries a SpeedupStats twin with the noise verdict.
 	out.SpeedupStats = map[string]*pairStats{}
 	for _, pr := range [][3]string{
 		{"BenchmarkRouteDesign/serial", "BenchmarkRouteDesign/parallel", "route_serial_over_parallel"},
 		{"BenchmarkPlace/serial", "BenchmarkPlace/parallel", "place_serial_over_parallel"},
 		{"BenchmarkRouteFlat/serial", "BenchmarkRouteFlat/parallel", "flat_route_serial_over_parallel"},
-		{"BenchmarkRouteFlat/serial", "BenchmarkRouteFlat/sharded", "flat_route_serial_over_sharded"},
 		{"BenchmarkPlaceFlat/serial", "BenchmarkPlaceFlat/parallel", "flat_place_serial_over_parallel"},
-		{"BenchmarkPlaceFlat/serial", "BenchmarkPlaceFlat/fast", "flat_place_serial_over_fast"},
 		{"BenchmarkPlaceFlat/serial", "BenchmarkPlaceFlat/analytic", "flat_place_serial_over_analytic"},
 	} {
 		ser, okS := byName[pr[0]]
@@ -247,18 +244,13 @@ func main() {
 	if len(out.Speedup) == 0 {
 		out.Speedup = nil
 	}
-	// Quality ratios (`make bench-route`): HPWL of the flat placement
-	// under the alternative engines over the default engine's. <1 means
-	// the engine places tighter; the analytic row must stay ≤1.
+	// Quality ratio (`make bench-route`): HPWL of the flat placement
+	// under the analytic engine over the default engine's. <1 means the
+	// analytic engine places tighter; the row must stay ≤1.
 	out.Quality = map[string]float64{}
 	if ref, ok := byName["BenchmarkPlaceFlat/serial"]; ok && ref.Metrics["HPWL_m"] > 0 {
-		for _, qr := range [][2]string{
-			{"BenchmarkPlaceFlat/fast", "flat_place_fast_hpwl_over_default"},
-			{"BenchmarkPlaceFlat/analytic", "flat_place_analytic_hpwl_over_default"},
-		} {
-			if e, ok := byName[qr[0]]; ok && e.Metrics["HPWL_m"] > 0 {
-				out.Quality[qr[1]] = e.Metrics["HPWL_m"] / ref.Metrics["HPWL_m"]
-			}
+		if e, ok := byName["BenchmarkPlaceFlat/analytic"]; ok && e.Metrics["HPWL_m"] > 0 {
+			out.Quality["flat_place_analytic_hpwl_over_default"] = e.Metrics["HPWL_m"] / ref.Metrics["HPWL_m"]
 		}
 	}
 	if len(out.Quality) == 0 {
@@ -276,10 +268,8 @@ func main() {
 		{"BenchmarkPlace/parallel", "parallel"},
 		{"BenchmarkRouteFlat/serial", "flat_serial"},
 		{"BenchmarkRouteFlat/parallel", "flat_parallel"},
-		{"BenchmarkRouteFlat/sharded", "flat_sharded"},
 		{"BenchmarkPlaceFlat/serial", "flat_serial"},
 		{"BenchmarkPlaceFlat/parallel", "flat_parallel"},
-		{"BenchmarkPlaceFlat/fast", "flat_fast"},
 		{"BenchmarkPlaceFlat/analytic", "flat_analytic"},
 	} {
 		e := byName[vp[0]]

@@ -136,7 +136,7 @@ func realMain() (code int) {
 		experiment    = flag.String("experiment", "", "run an experiment: table1, table2, table3, isoperf, flowtrace, sweepblockage, sweeppitch, heterotech")
 		config        = flag.String("config", "small", "tile configuration: small, large or tiny")
 		seed          = flag.Uint64("seed", 1, "deterministic seed")
-		jobs          = flag.Int("j", 0, "routing/placement worker count (0 = all CPUs, 1 = serial; results are bit-identical at any setting)")
+		jobs          = flag.Int("j", 0, "worker count of the parallel placement phases and routing net prep (0 = all CPUs, 1 = inline; routing waves are always serial; results are bit-identical at any setting)")
 		metals        = flag.Int("macrodiemetals", 6, "macro-die metal layers (3D flows)")
 		array         = flag.Int("array", 0, "after -flow 2d/macro3d: verify an N×N abutted tile array")
 		timeout       = flag.Duration("timeout", 0, "cancel the run after this duration (0 = no limit)")
@@ -152,8 +152,6 @@ func realMain() (code int) {
 		metricsOut    = flag.String("metrics-out", "", "write a final Prometheus text snapshot of the run's metrics to this file")
 		obsLinger     = flag.Duration("obs-linger", 0, "with -obs-addr: keep serving this long after a successful run (live inspection, smoke tests)")
 		traceOut      = flag.String("trace", "", "record the engines' per-worker execution timeline and write it as Chrome trace-event JSON (Perfetto / chrome://tracing; analyze with 'macro3d trace-report -in')")
-		fastRoute     = flag.Bool("fast-route", false, "region-sharded router and banded legalizer: deterministic at any -j but NOT bit-identical to the default engines; PPA stays within the bounds documented in DESIGN.md §15")
-		fastVerify    = flag.Bool("fast-route-verify", false, "with -fast-route: re-route serially with the default engine and fail unless the fast result is within the documented wirelength/overflow bounds")
 		analyticPlace = flag.Bool("analytic-place", false, "electrostatics-style analytical global placer (WA wirelength + Poisson density, die-aware F2F-bump weighting): deterministic at any -j but NOT bit-identical to the default quadratic placer; HPWL no worse on the reference tiles (DESIGN.md §16)")
 	)
 	flag.Parse()
@@ -309,7 +307,7 @@ func realMain() (code int) {
 		defer cancel()
 	}
 
-	if err := run(ctx, *flow, *experiment, *config, *seed, *jobs, *metals, *array, *keepGoing, rec, tracer, cache, *cacheVerify, *fastRoute, *fastVerify, *analyticPlace); err != nil {
+	if err := run(ctx, *flow, *experiment, *config, *seed, *jobs, *metals, *array, *keepGoing, rec, tracer, cache, *cacheVerify, *analyticPlace); err != nil {
 		printFailure(err)
 		return 1
 	}
@@ -371,13 +369,13 @@ func tileConfig(name string) (macro3d.TileConfig, error) {
 	return macro3d.TileConfig{}, fmt.Errorf("unknown config %q (want small, large or tiny)", name)
 }
 
-func run(ctx context.Context, flow, experiment, config string, seed uint64, jobs, metals, array int, keepGoing bool, rec *macro3d.ObsRecorder, tracer *macro3d.ExecTracer, cache *macro3d.StageCache, cacheVerify, fastRoute, fastVerify, analyticPlace bool) error {
+func run(ctx context.Context, flow, experiment, config string, seed uint64, jobs, metals, array int, keepGoing bool, rec *macro3d.ObsRecorder, tracer *macro3d.ExecTracer, cache *macro3d.StageCache, cacheVerify, analyticPlace bool) error {
 	pc, err := tileConfig(config)
 	if err != nil {
 		return err
 	}
 	cfg := macro3d.FlowConfig{Piton: pc, Seed: seed, MacroDieMetals: metals, Obs: rec, Trace: tracer, Workers: jobs, Cache: cache, CacheVerify: cacheVerify,
-		FastRoute: fastRoute, FastRouteVerify: fastVerify, AnalyticPlace: analyticPlace}
+		AnalyticPlace: analyticPlace}
 
 	if flow != "" {
 		var ppa *macro3d.PPA
@@ -420,7 +418,7 @@ func run(ctx context.Context, flow, experiment, config string, seed uint64, jobs
 	// Experiments pick their own tiles per column; the shared config
 	// carries the seed, the hardening knobs and the stage cache.
 	ecfg := macro3d.FlowConfig{Seed: seed, Obs: rec, Trace: tracer, Workers: jobs, Cache: cache, CacheVerify: cacheVerify,
-		FastRoute: fastRoute, FastRouteVerify: fastVerify, AnalyticPlace: analyticPlace}
+		AnalyticPlace: analyticPlace}
 
 	// Table experiments return the partial table alongside the error,
 	// so in keep-going mode the surviving columns still print before

@@ -47,13 +47,13 @@ func techFingerprint(logicMetals int) ([]byte, error) {
 // everything every stage depends on: codec version, flow kind,
 // technology fingerprint and the full benchmark configuration.
 //
-// Deliberately excluded: Workers (results are bit-identical at any
-// worker count — the parallel-engine equivalence guarantee, pinned by
-// TestStageCacheKeyStability), Obs/Trace/SelfCheck/Verify (pure
-// observation and checking — the execution tracer records timelines,
-// it never changes results), StageTimeout (fails runs, never changes
-// results), and
-// per-stage inputs like TargetPeriod, MacroDieMetals, F2F and
+// Deliberately excluded: Workers (routing waves are serial and the
+// placer's parallel phases are bit-identical, so results do not depend
+// on the worker count — pinned by TestStageCacheKeyStability),
+// Obs/Trace/SelfCheck/Verify (pure observation and checking — the
+// execution tracer records timelines, it never changes results),
+// StageTimeout (fails runs, never changes results), and per-stage
+// inputs like TargetPeriod, MacroDieMetals, F2F and
 // BlockageResolution, which enter the chain as key material of the
 // first checkpoint that depends on them so unrelated prefixes still
 // hit. The seed is included: results depend on it, so sharing entries
@@ -87,11 +87,7 @@ func rootKey(flow string, cfg Config) (stash.Key, error) {
 	e.Int(cfg.LogicMetals)
 	e.F64(cfg.Util)
 	e.Int(cfg.Retry.MaxAttempts)
-	// FastRoute selects different engines with different results, so
-	// fast and default runs must never share snapshots.
-	// FastRouteVerify is pure checking and stays excluded.
-	e.Bool(cfg.FastRoute)
-	// AnalyticPlace likewise selects a different placement engine with
+	// AnalyticPlace selects a different placement engine with
 	// different results; analytic and default runs never alias.
 	e.Bool(cfg.AnalyticPlace)
 	return stash.NewKey(e.Bytes()), nil

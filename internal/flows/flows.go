@@ -35,6 +35,7 @@ import (
 	"macro3d/internal/obs/trace"
 	"macro3d/internal/opt"
 	"macro3d/internal/piton"
+	"macro3d/internal/place"
 	"macro3d/internal/power"
 	"macro3d/internal/route"
 	"macro3d/internal/sta"
@@ -121,28 +122,11 @@ type Config struct {
 	// it on or off, and it does not enter the stage-cache key.
 	Trace *trace.Tracer
 
-	// Workers sets the worker count of the parallel routing and
-	// placement engines (the CLI's -j flag): 0 (default) uses every
-	// CPU, 1 forces the serial reference path. Results are
-	// bit-identical at any setting.
+	// Workers sets the worker count of the parallel placement phases
+	// and routing's net prep and overflow scan (the CLI's -j flag): 0
+	// (default) uses every CPU, 1 runs everything inline. Routing waves
+	// are always serial. Results are bit-identical at any setting.
 	Workers int
-
-	// FastRoute enables the fast physical-design engines (the CLI's
-	// -fast-route flag): the region-sharded router, which routes
-	// region-local nets concurrently without the batch engine's serial
-	// planning and ordered commits, and the placer's banded parallel
-	// legalization. Results stay deterministic at any Workers setting
-	// but are NOT bit-identical to the default engines — the flag is
-	// part of the result-defining configuration and enters the
-	// stage-cache key. PPA stays within the bounds documented in
-	// DESIGN.md §15 (wirelength within 10% of the reference).
-	FastRoute bool
-
-	// FastRouteVerify, with FastRoute, re-routes each design with the
-	// serial reference engine and fails the run if the fast result
-	// drifts past the documented PPA bounds. Roughly doubles routing
-	// cost; pure checking, so it does not enter the cache key.
-	FastRouteVerify bool
 
 	// AnalyticPlace switches global placement to the analytic
 	// electrostatics-style engine (the CLI's -analytic-place flag):
@@ -192,6 +176,20 @@ func (c Config) withDefaults() Config {
 		c.BlockageResolution = 50
 	}
 	return c
+}
+
+// placeOpts is the placer configuration every flow builds from the
+// config: seed, stage span sp (nil disables instrumentation), worker
+// count, engine choice and tracer.
+func (c Config) placeOpts(sp *obs.Span, seed uint64) place.Options {
+	return place.Options{Seed: seed, Obs: sp, Workers: c.Workers, Analytic: c.AnalyticPlace, Trace: c.Trace}
+}
+
+// routeOpts is the router configuration every flow builds from the
+// config: stage span sp (nil disables instrumentation), worker count
+// and tracer.
+func (c Config) routeOpts(sp *obs.Span) route.Options {
+	return route.Options{Obs: sp, Workers: c.Workers, Trace: c.Trace}
 }
 
 // PPA is the flow outcome — one column of the paper's tables.

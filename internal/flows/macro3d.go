@@ -90,7 +90,7 @@ func RunMacro3DCtx(ctx context.Context, cfg Config) (*PPA, *State, *core.MoLDesi
 	// spec); everything else is in the root key.
 	if err := r.checkpointed(placementCheckpoint(StagePlace, stackMaterial(cfg, t), d), func() error {
 		return r.seededStage(StagePlace, cfg.Seed+2, func(seed uint64) error {
-			_, err := place.Place(d, md.FP, t.RowHeight, place.Options{Seed: seed, Obs: r.obs(), Workers: cfg.Workers, Fast: cfg.FastRoute, Analytic: cfg.AnalyticPlace, Trace: cfg.Trace})
+			_, err := place.Place(d, md.FP, t.RowHeight, cfg.placeOpts(r.obs(), seed))
 			return err
 		})
 	}); err != nil {
@@ -105,7 +105,7 @@ func RunMacro3DCtx(ctx context.Context, cfg Config) (*PPA, *State, *core.MoLDesi
 	}
 
 	buildDB := func() {
-		st.DB = route.NewDB(st.Die, md.Combined, md.FP.RouteBlk, route.Options{Obs: r.obs(), Workers: cfg.Workers, Sharded: cfg.FastRoute, ShardVerify: cfg.FastRouteVerify, Trace: cfg.Trace})
+		st.DB = route.NewDB(st.Die, md.Combined, md.FP.RouteBlk, cfg.routeOpts(r.obs()))
 	}
 	if err := r.checkpointed(routeCheckpoint(st, d, nil, buildDB), func() error {
 		return r.stage(StageRoute, func() error {

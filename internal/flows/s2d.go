@@ -150,7 +150,7 @@ func RunS2DCtx(ctx context.Context, cfg Config, balanced bool) (*PPA, *State, er
 		}
 
 		if err := r.seededStage("pseudo-"+StagePlace, cfg.Seed+3, func(seed uint64) error {
-			_, err := place.Place(dP, fpP, t.RowHeight, place.Options{Seed: seed, Obs: r.obs(), Workers: cfg.Workers, Fast: cfg.FastRoute, Analytic: cfg.AnalyticPlace, Trace: cfg.Trace})
+			_, err := place.Place(dP, fpP, t.RowHeight, cfg.placeOpts(r.obs(), seed))
 			return err
 		}); err != nil {
 			return err
@@ -158,7 +158,7 @@ func RunS2DCtx(ctx context.Context, cfg Config, balanced bool) (*PPA, *State, er
 
 		if err := r.stage("pseudo-"+StageRoute, func() error {
 			buildClock(stP)
-			stP.DB = route.NewDB(die, stP.Beol, fpP.RouteBlk, route.Options{Obs: r.obs(), Workers: cfg.Workers, Sharded: cfg.FastRoute, ShardVerify: cfg.FastRouteVerify, Trace: cfg.Trace})
+			stP.DB = route.NewDB(die, stP.Beol, fpP.RouteBlk, cfg.routeOpts(r.obs()))
 			var err error
 			stP.Routes, err = route.RouteDesign(dP, stP.DB)
 			return err
@@ -253,7 +253,7 @@ func finish3DBaseline(r *runner, cfg Config, t *tech.Tech, tile *piton.Tile, die
 	}
 
 	buildDB := func() {
-		st.DB = route.NewDB(die, md.Combined, md.FP.RouteBlk, route.Options{Obs: r.obs(), Workers: cfg.Workers, Sharded: cfg.FastRoute, ShardVerify: cfg.FastRouteVerify, Trace: cfg.Trace})
+		st.DB = route.NewDB(die, md.Combined, md.FP.RouteBlk, cfg.routeOpts(r.obs()))
 	}
 	if err := r.checkpointed(routeCheckpoint(st, d, stackMaterial(cfg, t), buildDB), func() error {
 		return r.stage(StageRoute, func() error {

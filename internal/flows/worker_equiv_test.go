@@ -8,15 +8,15 @@ import (
 )
 
 // TestWorkerEquivalence pins the parallel engines' flow-level
-// contract: every flow run with Workers 1 (the serial reference
-// paths in route and place), Workers 4 (forced batch scheduling) and
-// Workers 0 (all CPUs) must produce an identical PPA — every field,
-// compared exactly, no tolerance. GOMAXPROCS is raised so Workers=0
-// genuinely fans out even on single-CPU CI machines.
+// contract: every flow run with Workers 1 (every parallel phase
+// inline), Workers 4 (forced fan-out) and Workers 0 (all CPUs) must
+// produce an identical PPA — every field, compared exactly, no
+// tolerance. GOMAXPROCS is raised so Workers=0 genuinely fans out even
+// on single-CPU CI machines.
 //
 // `make check` also runs this package under -race, which turns the
-// test into a data-race audit of the batch router and the parallel
-// placer phases.
+// test into a data-race audit of routing's parallel net prep and
+// overflow scan and the parallel placer phases.
 func TestWorkerEquivalence(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)

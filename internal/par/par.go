@@ -1,8 +1,8 @@
 // Package par holds the small deterministic fan-out primitives shared
-// by the parallel routing and placement engines: contiguous index
-// chunking with one goroutine per worker, worker-count resolution, and
-// aggregate busy-time accounting feeding the worker-utilization
-// gauges.
+// by routing's net prep and the parallel placement engines: contiguous
+// index chunking with one goroutine per worker, worker-count
+// resolution, and aggregate busy-time accounting feeding the placer's
+// worker-utilization gauge.
 //
 // Determinism is the caller's contract: workers must write only to
 // disjoint state (distinct slice elements, per-worker scratch), and

@@ -10,8 +10,7 @@
 // The engine is gated behind Options.Analytic and is NOT bit-identical
 // to the default quadratic placer — it is a different algorithm with
 // different (better-or-equal HPWL) results, so the flag is part of the
-// result-defining configuration, exactly like the fast-route engine
-// split. Within the analytic engine, results are bit-identical at any
+// result-defining configuration. Within the analytic engine, results are bit-identical at any
 // Workers setting: every parallel phase writes disjoint elements while
 // reading frozen arrays, and every floating-point reduction (net HPWL
 // sums, density means, overflow) replays in a fixed serial order. Max
@@ -171,7 +170,7 @@ func placeAnalytic(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64
 	res.Overflow = bins.overflow(movable, pos)
 
 	lsp := opt.Obs.Child("legalize")
-	disp, maxDisp, err := legalizeN(movable, fp, rowHeight, workers, opt.Fast, ts, mt)
+	disp, maxDisp, err := legalizeN(movable, fp, rowHeight, workers, ts, mt)
 	lsp.End()
 	if err != nil {
 		return nil, err

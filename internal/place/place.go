@@ -46,24 +46,12 @@ type Options struct {
 	// accumulation in serial order, so results are bit-identical at
 	// any setting.
 	Workers int
-	// Fast enables banded parallel legalization (part of the flows'
-	// fast physical-design mode alongside the sharded router): the
-	// placement rows split into a fixed number of bands that run their
-	// Tetris sweeps concurrently, with cells that find no space in
-	// their band spilling to an ordered serial reconciliation pass.
-	// Deterministic at any Workers setting (the band count is fixed,
-	// never derived from the worker count) but NOT bit-identical to
-	// the default serial sweep, so the flag is part of the
-	// result-defining configuration.
-	Fast bool
-
 	// Analytic switches global placement to the electrostatics-style
 	// analytical engine (analytic.go): WA wirelength gradient plus a
 	// Poisson density field descended jointly, with a die-aware weight
 	// on nets that cross F2F bumps. Deterministic at any Workers
 	// setting but NOT bit-identical to the default quadratic engine,
-	// so — like Fast — the flag is part of the result-defining
-	// configuration.
+	// so the flag is part of the result-defining configuration.
 	Analytic bool
 	// AnalyticIters bounds the analytic engine's descent iterations
 	// (default 160). Ignored unless Analytic is set.
@@ -179,7 +167,7 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 
 	// Legalization.
 	lsp := opt.Obs.Child("legalize")
-	disp, maxDisp, err := legalizeN(movable, fp, rowHeight, workers, opt.Fast, ts, mt)
+	disp, maxDisp, err := legalizeN(movable, fp, rowHeight, workers, ts, mt)
 	lsp.End()
 	if err != nil {
 		return nil, err

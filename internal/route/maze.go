@@ -12,12 +12,10 @@ import (
 // Maze search runs inside a bounding-box window around the two pins
 // (expanded by mazeMargin gcells for detours) instead of the whole
 // grid. That bounds both the work and — together with the reusable
-// per-worker scratch below — the allocations: the historical
-// implementation allocated whole-grid dist/prev arrays and a boxed
-// container/heap item per push for every two-pin connection, which
-// dominated negotiation time on the large tile. The window is also
-// the search's declared read/write footprint, which is what lets the
-// batch planner run disjoint maze reroutes concurrently.
+// scratch below — the allocations: the historical implementation
+// allocated whole-grid dist/prev arrays and a boxed container/heap
+// item per push for every two-pin connection, which dominated
+// negotiation time on the large tile.
 
 // mazeMargin is the detour allowance around the two-pin bounding box,
 // in gcells per side.
@@ -68,20 +66,18 @@ type mazeEntry struct {
 	est  float64
 }
 
-// mazeScratch is the reusable per-worker state of the windowed A*:
-// dist/prev backing arrays sized to the largest window seen so far,
-// the typed binary heap, and the path-trace node buffer. One scratch
-// serves one goroutine; RouteDesign keeps one per worker and reuses
-// them across every two-pin search of the run — including across
-// shard batches of the region-sharded router, whose per-region
-// windows vary wildly in size.
+// mazeScratch is the reusable state of the windowed A*: dist/prev
+// backing arrays sized to the largest window seen so far, the typed
+// binary heap, and the path-trace node buffer. Each DB keeps one
+// (DB.scratch) and reuses it across every two-pin search, whose
+// windows vary widely in size.
 //
 // Visited state is generation-stamped: a node's dist/prev entries are
 // valid only when gen[i] matches the current search generation, so a
 // reset never touches the backing arrays at all — it bumps one
 // counter. The historical implementation re-filled dist with -1 on
 // every search (O(window) per two-pin connection), which showed up as
-// measurable reset time once windows grew to region size.
+// measurable reset time on large windows.
 type mazeScratch struct {
 	dist  []float64
 	prev  []int32
@@ -171,25 +167,22 @@ func (s *mazeScratch) pop() mazeEntry {
 }
 
 // mazeRoute finds a least-cost path with windowed 3D A*, using the
-// DB-resident scratch. ECO reroutes and tests use this entry point;
-// the parallel router hands each worker its own scratch via
-// mazeRouteScratch.
+// DB-resident scratch, starting a fresh segment list.
 func (db *DB) mazeRoute(a, b Node) ([]Seg, error) {
 	return db.mazeRouteScratch(db.scratch(), a, b, nil)
 }
 
-// scratch lazily builds the DB's single-threaded maze scratch.
+// scratch lazily builds the DB's maze scratch.
 func (db *DB) scratch() *mazeScratch {
-	if db.eco == nil {
-		db.eco = &mazeScratch{}
+	if db.scr == nil {
+		db.scr = &mazeScratch{}
 	}
-	return db.eco
+	return db.scr
 }
 
 // mazeRouteScratch runs A* from a to b inside the expanded pin-bbox
 // window, appending the path segments to dst (which may be nil). All
-// mutable search state lives in s; the congestion grid is only read,
-// so disjoint searches may run concurrently.
+// mutable search state lives in s; the congestion grid is only read.
 func (db *DB) mazeRouteScratch(s *mazeScratch, a, b Node, dst []Seg) ([]Seg, error) {
 	win := db.mazeWindow(a, b)
 	size := win.size()

@@ -39,29 +39,11 @@ type Options struct {
 	// die exactly). Used when composing tile arrays so routes can be
 	// translated between aligned grids.
 	Grid *geom.Grid
-	// Workers sets the routing worker count: 0 (default) uses every
-	// CPU (GOMAXPROCS), 1 runs the plain serial reference path, and
-	// n > 1 routes spatially disjoint net batches on n goroutines.
-	// Results are bit-identical at any setting.
+	// Workers sets the worker count of routing's parallel net prep and
+	// overflowed-net scan: 0 (default) uses every CPU (GOMAXPROCS), 1
+	// runs them inline. The routing waves themselves are serial, so
+	// results are bit-identical at any setting.
 	Workers int
-	// Sharded enables the region-sharded fast engine (the CLI's
-	// -fast-route): the gcell grid splits into a fixed region grid and
-	// region-local nets route concurrently without the batch engine's
-	// per-round serial planning and ordered commits (see shard.go).
-	// Results stay deterministic at any Workers setting but are NOT
-	// bit-identical to the default engine, so the flag is part of the
-	// result-defining configuration (it enters the stage-cache key).
-	Sharded bool
-	// ShardRegions is the fixed region count of the sharded engine
-	// (default 8). A configuration constant, never derived from
-	// Workers — that independence is what keeps sharded results
-	// identical across -j settings.
-	ShardRegions int
-	// ShardVerify re-routes the design with the serial reference after
-	// a sharded run and fails if wirelength or overflow drift past the
-	// documented bounds (shardVerifyWLTol, shardVerifyOverflowFrac).
-	// Roughly doubles routing cost; a validation mode, not a default.
-	ShardVerify bool
 
 	// Obs, when non-nil, is the stage span the router hangs its
 	// rip-up-iteration phase spans under and whose registry receives
@@ -69,8 +51,8 @@ type Options struct {
 	Obs *obs.Span
 
 	// Trace, when non-nil, receives task-level execution slices —
-	// batch plan/execute/commit, prep fan-outs, rip-up iterations —
-	// on per-worker tracks. nil disables tracing at the cost of one
+	// prep fan-outs, serial routing passes, rip-up iterations — on
+	// per-worker tracks. nil disables tracing at the cost of one
 	// pointer comparison per call site; routing results are identical
 	// either way.
 	Trace *trace.Tracer
@@ -88,9 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ViaCost <= 0 {
 		o.ViaCost = 1.0
-	}
-	if o.ShardRegions <= 0 {
-		o.ShardRegions = defaultShardRegions
 	}
 	return o
 }
@@ -152,10 +131,7 @@ type DB struct {
 	f2fUse  []int32
 	gcellWL float64 // µm per grid step (average of DX, DY)
 
-	eco       *mazeScratch // single-thread maze scratch (ECO routes, tests)
-	tiles     *tileMap     // batch-planner conflict raster, reused per round
-	planRects [][]tileRect // per-task footprint buffers, reused per round
-	shards    *shardPlan   // region decomposition of the sharded router
+	scr *mazeScratch // maze scratch shared by every search on this DB
 }
 
 // NewDB builds the routing database for a die, BEOL and blockage set.

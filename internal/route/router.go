@@ -1,8 +1,8 @@
 package route
 
 import (
+	"fmt"
 	"sort"
-	"time"
 
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
@@ -11,35 +11,17 @@ import (
 	"macro3d/internal/par"
 )
 
-// routeMetrics bundles the parallel-engine instrumentation handles
-// threaded through routeAll: batch counts, batch-size distribution,
-// planner conflicts (deferred nets per round) and the summed worker
-// busy time feeding the utilization gauge. All handles are nil-safe
-// no-ops when the flow runs without a recorder.
-type routeMetrics struct {
-	batches       *obs.Counter
-	batchNets     *obs.Histogram
-	conflicts     *obs.Counter
-	shardBoundary *obs.Counter
-	busy          time.Duration
-
-	// Execution-tracer handles: the per-worker track set for routing
-	// chunks and the orchestrator track for the serial plan/commit
-	// segments. Both are nil-safe; nil means tracing is off.
-	ts   *trace.Set
-	main *trace.Track
-}
-
 // RouteDesign globally routes every non-clock signal net of the design
 // over the database's grid, then runs negotiation iterations until
 // overflow clears or the iteration budget is spent.
 //
-// With Options.Workers != 1 the initial pass and every negotiation
-// wave execute as deterministic spatially-disjoint batches (see
-// batch.go); results are bit-identical to the serial reference at any
-// worker count.
+// Every wave — the initial pass and each rip-up iteration — routes its
+// nets one after another in a fixed order, each against the congestion
+// every earlier net left. Options.Workers parallelizes only the
+// congestion-independent work around the waves (net prep and the
+// overflowed-net scan), so results are bit-identical at any worker
+// count.
 func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
-	t0 := time.Now()
 	workers := par.Workers(db.opt.Workers)
 	res := &Result{
 		Routes:     make([]*NetRoute, len(d.Nets)),
@@ -77,45 +59,21 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	overG := reg.Gauge("route_overflow_gcells",
 		"Gcell-layers above capacity after the latest negotiation state.")
 	reg.Gauge("route_workers",
-		"Worker goroutines used by the parallel routing engine.").Set(float64(workers))
-	met := &routeMetrics{
-		batches: reg.Counter("route_parallel_batches_total",
-			"Conflict-free net batches executed by the parallel router."),
-		batchNets: reg.Histogram("route_batch_nets",
-			"Nets per conflict-free routing batch.", 1, 4, 16, 64, 256, 1024, 4096),
-		conflicts: reg.Counter("route_batch_conflicts_total",
-			"Nets deferred to a later batch by a footprint conflict."),
-		shardBoundary: reg.Counter("route_shard_boundary_nets_total",
-			"Region-crossing nets reconciled through the ordered batch engine."),
-		ts:   db.opt.Trace.WorkerSet("route", workers),
-		main: db.opt.Trace.Track("main"),
-	}
-	// The engine dispatcher: the default deterministic batch engine, or
-	// the region-sharded fast engine when Options.Sharded is set. Both
-	// the initial pass and every negotiation wave go through it.
-	routeWave := db.routeAll
-	if db.opt.Sharded {
-		routeWave = db.routeAllSharded
-		reg.Gauge("route_shard_regions",
-			"Fixed region count of the sharded routing engine.").
-			Set(float64(db.shardPlanFor().regions()))
-	}
+		"Worker goroutines used by routing net prep and the overflow scan.").Set(float64(workers))
+	mt := db.opt.Trace.Track("main")
 	// Rip-up iterations render as containers on their own track; the
 	// analyzer charges them only for time no leaf slice covers.
 	iterTrack := db.opt.Trace.Track("route iterations")
-
-	// One maze scratch per worker, reused across every two-pin search
-	// of the run (index 0 doubles as the serial path's scratch).
-	pool := make([]*mazeScratch, workers)
-	for i := range pool {
-		pool[i] = &mazeScratch{}
-	}
+	// One maze scratch serves every two-pin search of the run; its
+	// hit/miss counters are reported as this run's delta.
+	scr := db.scratch()
+	hits0, misses0 := scr.hits, scr.misses
 
 	// Net prep (pin nodes, MST decomposition) is a pure function of
 	// the placement, so it parallelizes freely.
 	tasks := make([]*netTask, len(order))
 	errs := make([]error, len(order))
-	met.busy += par.ItemsTr(met.ts, "route/prep", workers, len(order), func(w, i int) {
+	par.ItemsTr(db.opt.Trace.WorkerSet("route", workers), "route/prep", workers, len(order), func(w, i int) {
 		tasks[i], errs[i] = db.prepTask(order[i])
 	})
 	for _, err := range errs {
@@ -124,10 +82,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		}
 	}
 
-	routeWave(tasks, false, workers, pool, met, func(t *netTask) {
-		db.addUsage(t.route, 1)
-		res.Routes[t.net.ID] = t.route
-	})
+	db.routeWave(tasks, false, res, mt)
 	routedC.Add(uint64(len(order)))
 
 	// Negotiated rip-up and reroute. Early iterations reroute with
@@ -167,10 +122,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 			t.old = res.Routes[n.ID]
 			vt = append(vt, t)
 		}
-		routeWave(vt, useMaze, workers, pool, met, func(t *netTask) {
-			db.addUsage(t.route, 1)
-			res.Routes[t.net.ID] = t.route
-		})
+		db.routeWave(vt, useMaze, res, mt)
 		ripupC.Add(uint64(len(victims)))
 		itsl.End(trace.N("iter", int64(it)), trace.N("victims", int64(len(victims))),
 			trace.N("overflow", int64(over)))
@@ -203,12 +155,8 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	res.Overflow = db.Overflow()
 	overG.Set(float64(res.Overflow))
 
-	// Scratch reuse and worker utilization for this run.
-	var hits, misses uint64
-	for _, s := range pool {
-		hits += s.hits
-		misses += s.misses
-	}
+	// Scratch reuse for this run.
+	hits, misses := scr.hits-hits0, scr.misses-misses0
 	reg.Counter("route_scratch_hits_total",
 		"Maze searches served by an already-sized scratch allocation.").Add(hits)
 	reg.Counter("route_scratch_misses_total",
@@ -218,17 +166,95 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 			"Fraction of maze searches reusing scratch memory, latest run.").
 			Set(float64(hits) / float64(hits+misses))
 	}
-	if wall := time.Since(t0).Seconds(); wall > 0 && workers > 1 {
-		reg.Gauge("route_worker_utilization_ratio",
-			"Summed worker busy time over workers × stage wall time, latest run.").
-			Set(met.busy.Seconds() / (wall * float64(workers)))
-	}
-	if db.opt.Sharded && db.opt.ShardVerify {
-		if err := db.verifySharded(d, res); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
+}
+
+// routeWave routes the ordered tasks one after another, each against
+// the congestion every earlier task left: a rip-up victim's old route
+// is released just before its reroute, and each new route commits its
+// usage and result slot before the next task routes.
+func (db *DB) routeWave(tasks []*netTask, maze bool, res *Result, tr *trace.Track) {
+	ssp := tr.Begin("route", "route/serial-pass")
+	for _, t := range tasks {
+		if t.old != nil {
+			db.addUsage(t.old, -1)
+		}
+		db.routeTask(t, maze)
+		db.addUsage(t.route, 1)
+		res.Routes[t.net.ID] = t.route
+	}
+	ssp.End(trace.N("nets", int64(len(tasks))))
+}
+
+// netTask is the per-net unit of work: the deterministic prep (pin
+// nodes, MST edges), plus the old route when the task is a negotiation
+// rip-up.
+type netTask struct {
+	net   *netlist.Net
+	route *NetRoute
+	edges [][2]int  // MST edges as pin-index pairs
+	old   *NetRoute // non-nil for rip-up victims
+}
+
+// prepTask resolves pin nodes and decomposes the net into two-pin MST
+// edges. Pure function of the placement — independent of congestion,
+// so prep order never affects results.
+func (db *DB) prepTask(n *netlist.Net) (*netTask, error) {
+	pins := n.Pins()
+	r := &NetRoute{Net: n, PinNode: make([]Node, len(pins))}
+	for i, p := range pins {
+		nd, err := db.PinNode(p)
+		if err != nil {
+			return nil, fmt.Errorf("net %s: %w", n.Name, err)
+		}
+		r.PinNode[i] = nd
+	}
+	t := &netTask{net: n, route: r}
+	if len(pins) < 2 {
+		return t, nil
+	}
+	// Prim MST over pin grid locations.
+	inTree := make([]bool, len(pins))
+	inTree[0] = true
+	t.edges = make([][2]int, 0, len(pins)-1)
+	for k := 1; k < len(pins); k++ {
+		best, bi, bj := 1<<30, -1, -1
+		for i := range pins {
+			if !inTree[i] {
+				continue
+			}
+			for j := range pins {
+				if inTree[j] {
+					continue
+				}
+				d := geom.AbsInt(r.PinNode[i].X-r.PinNode[j].X) +
+					geom.AbsInt(r.PinNode[i].Y-r.PinNode[j].Y)
+				if d < best {
+					best, bi, bj = d, i, j
+				}
+			}
+		}
+		inTree[bj] = true
+		t.edges = append(t.edges, [2]int{bi, bj})
+	}
+	return t, nil
+}
+
+// routeTask computes the task's segments against current congestion,
+// one MST edge at a time. Maze-mode failures fall back to the pattern
+// route.
+func (db *DB) routeTask(t *netTask, maze bool) {
+	for _, e := range t.edges {
+		a, b := t.route.PinNode[e[0]], t.route.PinNode[e[1]]
+		if maze {
+			segs, err := db.mazeRouteScratch(db.scratch(), a, b, t.route.Segments)
+			if err == nil {
+				t.route.Segments = segs
+				continue
+			}
+		}
+		t.route.Segments = append(t.route.Segments, db.patternRoute(a, b)...)
+	}
 }
 
 // RouteNet routes a single net against current congestion and commits
@@ -239,7 +265,7 @@ func (db *DB) RouteNet(n *netlist.Net) (*NetRoute, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.routeTask(t, false, db.scratch())
+	db.routeTask(t, false)
 	r := t.route
 	db.opt.Obs.Reg().Counter("route_eco_reroutes_total",
 		"Single-net ECO routes (optimizer buffer nets and reroutes).").Inc()

@@ -2,7 +2,8 @@
 # Benchmark-pipeline smoke: one cheap flat-array benchmark run
 # (BENCH_ROUTE_N=1, count 1) piped through benchjson must land the
 # flat speedup pair, its confidence/noise verdict, stddev/CV fields
-# and the pinned environment (gomaxprocs, workers) in the JSON.
+# and the pinned environment (gomaxprocs, workers) in the JSON, and
+# the analytic placer's HPWL over the default placer's must be ≤ 1.0.
 # Guards the `make bench-route` plumbing — bench_route_test.go's
 # fixtures and metrics plus cmd/benchjson's aggregation — without the
 # cost of the full -count 5, N=3 measurement run.
@@ -24,15 +25,22 @@ need() {
 	}
 }
 need '"flat_route_serial_over_parallel"'
-need '"flat_route_serial_over_sharded"'
 need '"noise"'
 need '"stddev_ns_per_op"'
 need '"cv"'
 need '"gomaxprocs"'
 need '"workers": 4'
-need '"route_cp_speedup/flat_sharded"'
+need '"route_cp_speedup/flat_parallel"'
 need '"route_occupancy/flat_parallel"'
 need '"flat_place_serial_over_analytic"'
 need '"flat_place_analytic_hpwl_over_default"'
+
+# The analytic placer's documented bound: HPWL no worse than the
+# default quadratic placer's at the size this smoke runs.
+ratio=$(sed -n 's/.*"flat_place_analytic_hpwl_over_default": *\([0-9.eE+-]*\).*/\1/p' "$dir/bench.json")
+awk -v r="$ratio" 'BEGIN { exit !(r != "" && r + 0 <= 1.0) }' || {
+	echo "bench-route-smoke: FAIL: flat_place_analytic_hpwl_over_default = ${ratio:-missing}, want <= 1.0" >&2
+	exit 1
+}
 
 echo "bench-route-smoke: OK"
